@@ -42,6 +42,7 @@ from common import (
     MEASURE_REPEATS,
     RESULTS_DIR,
     ZERO_COST,
+    format_rate,
     keep_best,
     save_result,
     steady_traffic,
@@ -299,7 +300,7 @@ def render(churn_rows, scaling_rows, mode):
     for row in churn_rows:
         lines.append(
             f"{row['kind']:>16} {row['policy']:>7} {row['flows']:>6} "
-            f"{row['churn_mods']:>6} {row['pps']:>12.0f} {row['hit_rate']:>8.1%} "
+            f"{row['churn_mods']:>6} {row['pps']:>12.0f} {format_rate(row['hit_rate'], 9)} "
             f"{row['cache']['paths_dropped']:>14}"
         )
     lines += [

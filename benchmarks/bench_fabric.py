@@ -15,8 +15,13 @@ Reported per fabric size (2/4/8 edge switches):
 * ``pps`` — aggregate frames delivered per wall-clock second (median
   across ``MEASURE_REPEATS`` passes; gated by ``check_regression.py``
   against ``baselines/fabric.json``);
-* ``hit_rate`` — aggregate SS_2 microflow hit rate across all hops
-  (machine-independent, gated absolutely);
+* ``ss1_compiled_share`` / ``ss2_compiled_share`` — per hop half, the
+  share of frames received in the measured run that the compiled tier 0
+  served (``specialized_frames`` over port rx, from
+  ``stats()["specialization"]``; machine-independent, gated absolutely);
+* ``interp_hit_rate`` — SS_2 microflow-cache hit rate over the lookups
+  the interpreted tier made in the measured run, ``None`` (no data)
+  when tier 0 served every frame; recorded, not gated;
 * ``packet_ins_migration`` / ``packet_ins_steady`` — controller load
   while the fleet migrates + primes vs during the measured run (the
   steady number should stay ~0: reactive installs happen once).
@@ -58,7 +63,7 @@ from repro.traffic import (
     zipf_weights,
 )
 
-from common import MEASURE_REPEATS, RESULTS_DIR, save_result
+from common import MEASURE_REPEATS, RESULTS_DIR, format_rate, save_result
 
 #: Edge-switch counts per mode -> frames measured per run.
 FULL_SIZES = {2: 12_000, 4: 12_000, 8: 12_000}
@@ -150,14 +155,30 @@ def pod_bursts(stations, flows, packets: int, start_s: float):
     return all_bursts
 
 
-def aggregate_cache_stats(fleet) -> "tuple[int, int]":
-    """(hits, lookups) summed over every migrated SS_2 datapath."""
-    hits = lookups = 0
+def tier_counters(fleet) -> "dict[str, int]":
+    """Cumulative tier counters summed over every migrated S4.
+
+    ``<half>_rx`` / ``<half>_specialized`` are the frames each hop half
+    received and the ones its compiled tier 0 served; ``lookups`` and
+    ``hits`` are the SS_2 microflow-cache lookups the interpreter made.
+    """
+    totals = dict.fromkeys(
+        ("ss1_rx", "ss1_specialized", "ss2_rx", "ss2_specialized", "lookups", "hits"), 0
+    )
     for deployment in fleet.deployments.values():
-        stats = deployment.s4.ss2.stats()["cache"]
-        hits += stats["hits"]
-        lookups += stats["hits"] + stats["misses"]
-    return hits, lookups
+        for half_name, half in (("ss1", deployment.s4.ss1), ("ss2", deployment.s4.ss2)):
+            stats = half.stats()
+            totals[f"{half_name}_rx"] += sum(port.rx_frames for port in half.ports.values())
+            totals[f"{half_name}_specialized"] += stats["specialization"]["specialized_frames"]
+            if half_name == "ss2":
+                totals["hits"] += stats["cache"]["hits"]
+                totals["lookups"] += stats["cache"]["hits"] + stats["cache"]["misses"]
+    return totals
+
+
+def ratio(numerator: int, denominator: int) -> "float | None":
+    """A fraction, or None (no data) over an empty denominator."""
+    return numerator / denominator if denominator else None
 
 
 def run_one(edges: int, packets: int) -> dict:
@@ -173,7 +194,7 @@ def run_one(edges: int, packets: int) -> dict:
         len(frames) for bursts in bursts_per_pod for _, frames in bursts
     )
     rx_before = sum(station.rx_count for station in stations)
-    hits_before, lookups_before = aggregate_cache_stats(fleet)
+    before = tier_counters(fleet)
 
     start = time.perf_counter()
     for station, bursts in zip(stations, bursts_per_pod):
@@ -183,7 +204,8 @@ def run_one(edges: int, packets: int) -> dict:
 
     delivered = sum(station.rx_count for station in stations) - rx_before
     assert delivered == injected, f"edges={edges}: {delivered}/{injected}"
-    hits, lookups = aggregate_cache_stats(fleet)
+    after = tier_counters(fleet)
+    delta = {key: after[key] - before[key] for key in after}
     return {
         "config": "leaf-spine",
         "edges": edges,
@@ -191,11 +213,9 @@ def run_one(edges: int, packets: int) -> dict:
         "packets": injected,
         "pps": injected / elapsed,
         "elapsed_s": elapsed,
-        "hit_rate": (
-            (hits - hits_before) / (lookups - lookups_before)
-            if lookups > lookups_before
-            else 0.0
-        ),
+        "ss1_compiled_share": ratio(delta["ss1_specialized"], delta["ss1_rx"]),
+        "ss2_compiled_share": ratio(delta["ss2_specialized"], delta["ss2_rx"]),
+        "interp_hit_rate": ratio(delta["hits"], delta["lookups"]),
         "packet_ins_migration": packet_ins_migration,
         "packet_ins_steady": app.packet_ins_handled - packet_ins_migration,
     }
@@ -223,14 +243,17 @@ def render(rows: list, mode: str) -> str:
         f"mode: {mode}; burst {BURST_SIZE}, {FLOWS_PER_PAIR} flows/pod-pair, "
         "3 migrated hops per frame",
         "",
-        f"{'edges':>6} {'pkts':>7} {'pps':>12} {'ss2 hit rate':>13} "
+        f"{'edges':>6} {'pkts':>7} {'pps':>12} {'ss1 compiled':>13} "
+        f"{'ss2 compiled':>13} {'interp hit':>11} "
         f"{'pkt-ins (mig)':>14} {'pkt-ins (steady)':>17}",
     ]
     for row in rows:
         lines.append(
             f"{row['edges']:>6} {row['packets']:>7} {row['pps']:>12.0f} "
-            f"{row['hit_rate']:>12.1%} {row['packet_ins_migration']:>14} "
-            f"{row['packet_ins_steady']:>17}"
+            f"{format_rate(row['ss1_compiled_share'], 13)} "
+            f"{format_rate(row['ss2_compiled_share'], 13)} "
+            f"{format_rate(row['interp_hit_rate'], 11)} "
+            f"{row['packet_ins_migration']:>14} {row['packet_ins_steady']:>17}"
         )
     return "\n".join(lines)
 

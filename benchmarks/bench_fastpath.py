@@ -32,6 +32,7 @@ from common import (
     MEASURE_REPEATS,
     RESULTS_DIR,
     ZERO_COST,
+    format_rate,
     bench_flow_addresses,
     keep_best,
     save_result,
@@ -135,12 +136,12 @@ def render(rows, mode):
         f"{'fastpath':>12} {'speedup':>8} {'hit rate':>9}",
     ]
     for row in rows:
-        hit_rate = row["fastpath"]["cache"]["hit_rate"]
         lines.append(
             f"{row['flows']:>7} {row['packets']:>7} "
             f"{row['linear']['pps']:>12.0f} {row['classifier']['pps']:>12.0f} "
             f"{row['fastpath']['pps']:>12.0f} "
-            f"{row['speedup_fastpath']:>7.1f}x {hit_rate:>8.1%}"
+            f"{row['speedup_fastpath']:>7.1f}x "
+            f"{format_rate(row['fastpath']['cache']['hit_rate'], 9)}"
         )
     return "\n".join(lines)
 

@@ -13,8 +13,9 @@ Comparison rules:
   median cancels the machine-speed factor, a genuine regression shows
   up as one row falling away from the pack.  A normalised ratio below
   ``1 - threshold`` (default: 25% regression) fails the gate.
-* **hit_rate metrics** are machine-independent fractions and are
-  compared absolutely: current below baseline by more than 0.10 fails.
+* **hit_rate and ``*_share`` metrics** are machine-independent
+  fractions and are compared absolutely: current below baseline by more
+  than 0.10 fails.
 * **speedup metrics** (ratios of two pps numbers measured on the same
   machine) are compared directly against ``1 - threshold``.
 * **convergence_s / frames_lost metrics** (bench_resilience) are pure
@@ -31,10 +32,13 @@ Comparison rules:
   compare.  ``bytes_exchanged`` stays informational: it tracks pickle
   framing, which may legitimately change without a protocol change.
 
-Metrics present only on one side are reported and skipped, so full-mode
+Rows present only on one side are reported and skipped, so full-mode
 local runs can be checked against smoke-mode baselines on their common
-rows.  A *results file* with no committed baseline at all, however,
-fails the gate loudly: a freshly added bench artefact must land with
+rows.  Within a row both artefacts have, a gated metric the baseline
+holds a number for must still have one: ``None`` (no data) or a
+missing key fails the gate instead of silently dropping out of it.  A
+*results file* with no committed baseline at all, however, fails the
+gate loudly: a freshly added bench artefact must land with
 its baseline (``--update`` creates it), otherwise the gate would
 silently never cover it.
 
@@ -82,14 +86,29 @@ CONVERGENCE_SLACK_S = 0.25
 FRAMES_LOST_MIN_SLACK = 2
 
 
+def is_gated(key: str) -> bool:
+    """Measurement keys the gate compares (besides DETERMINISTIC_KEYS)."""
+    return (
+        key in ("pps", "hit_rate", "convergence_s", "frames_lost")
+        or key.startswith("speedup")
+        or key.endswith("_share")
+    )
+
+
+def row_of(label: str) -> str:
+    """The row part of a metric label (everything before the key)."""
+    return label.rsplit(":", 1)[0]
+
+
 def extract_metrics(node, label="", out=None):
-    """Flatten an artefact into {stable label: numeric metric}.
+    """Flatten an artefact into {stable label: numeric metric or None}.
 
     Labels are built from the identity keys found along the path, so
     the same workload row gets the same label in baseline and current
-    artefacts regardless of dict ordering.  Only pps, hit_rate and
-    speedup_* leaves are metrics; everything else (packet counts,
-    raw counters, timings) is workload description or redundant.
+    artefacts regardless of dict ordering.  Only gated leaves (see
+    :func:`is_gated`) are metrics; everything else (packet counts, raw
+    counters, timings) is workload description or redundant.  A gated
+    leaf without data is kept as ``None`` so :func:`compare` can fail it.
     """
     if out is None:
         out = {}
@@ -103,11 +122,8 @@ def extract_metrics(node, label="", out=None):
         for key, value in sorted(node.items()):
             if isinstance(value, (dict, list)):
                 extract_metrics(value, f"{prefix}/{key}", out)
-            elif isinstance(value, (int, float)) and (
-                key in ("pps", "hit_rate", "convergence_s", "frames_lost")
-                or key.startswith("speedup")
-            ):
-                out[f"{prefix}:{key}"] = float(value)
+            elif (value is None or isinstance(value, (int, float))) and is_gated(key):
+                out[f"{prefix}:{key}"] = None if value is None else float(value)
             elif isinstance(value, (int, float)) and key in DETERMINISTIC_KEYS:
                 # Deterministic counters scale with the injected load,
                 # so the packet count joins the identity: a smoke row
@@ -124,23 +140,34 @@ def extract_metrics(node, label="", out=None):
 
 def compare(name, baseline, current, threshold):
     """Compare one artefact pair; returns (failures, report lines)."""
-    base = extract_metrics(baseline)
+    base = {label: value for label, value in extract_metrics(baseline).items()
+            if value is not None}
     cur = extract_metrics(current)
+    current_rows = {row_of(label) for label in cur}
+    failures, lines = [], []
+    for label in sorted(base):
+        if cur.get(label) is not None:
+            continue
+        if row_of(label) in current_rows:
+            why = "has no data" if label in cur else "missing"
+            failures.append(f"{name}: {label} {why} (baseline {base[label]:g})")
+            lines.append(f"   {'NO DATA':>10} {label}")
+        else:
+            lines.append(f"   (baseline-only, skipped: {label})")
+    cur = {label: value for label, value in cur.items() if value is not None}
     shared = sorted(set(base) & set(cur))
-    lines = [f"== {name}: {len(shared)} shared metrics =="]
-    for missing in sorted(set(base) - set(cur)):
-        lines.append(f"   (baseline-only, skipped: {missing})")
+    lines.insert(0, f"== {name}: {len(shared)} shared metrics ==")
     for fresh in sorted(set(cur) - set(base)):
         lines.append(f"   (new, unbaselined: {fresh})")
     if not shared:
-        return [f"{name}: no shared metrics between baseline and current"], lines
+        failures.append(f"{name}: no shared metrics between baseline and current")
+        return failures, lines
 
     pps_labels = [label for label in shared if label.endswith(":pps")]
     ratios = {label: cur[label] / base[label] for label in pps_labels if base[label]}
     machine_factor = statistics.median(ratios.values()) if ratios else 1.0
     lines.append(f"   machine-speed factor (median pps ratio): {machine_factor:.2f}")
 
-    failures = []
     for label in shared:
         if label.endswith(":pps"):
             if not base[label]:
@@ -197,7 +224,7 @@ def compare(name, baseline, current, threshold):
                 f"   {verdict:>10} {label} "
                 f"{base[label]:.0f} -> {cur[label]:.0f}"
             )
-        elif label.endswith(":hit_rate"):
+        elif label.endswith(":hit_rate") or label.endswith("_share"):
             delta = cur[label] - base[label]
             verdict = "ok"
             if delta < -HIT_RATE_TOLERANCE:

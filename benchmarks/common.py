@@ -41,6 +41,11 @@ BENCH_MAC_SRC = MACAddress("02:00:00:00:aa:01")
 BENCH_MAC_DST = MACAddress("02:00:00:00:bb:02")
 
 
+def format_rate(value: "float | None", width: int) -> str:
+    """A fraction as a right-aligned percentage; "no data" for None."""
+    return f"{'no data':>{width}}" if value is None else f"{value:>{width}.1%}"
+
+
 class CountingSink(Node):
     """A port peer that just counts what it receives."""
 

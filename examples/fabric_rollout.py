@@ -97,9 +97,10 @@ def main() -> None:
     for name, deployment in fleet.deployments.items():
         cache = deployment.s4.ss2.stats()["cache"]
         ss1 = deployment.s4.ss1.stats()["specialization"]
+        hit_rate = "no data" if cache["hit_rate"] is None else f"{cache['hit_rate']:.0%}"
         print(
             f"  {name:<8s} dpid={deployment.datapath.dpid:#6x}  "
-            f"cache hits {cache['hits']:>5} ({cache['hit_rate']:.0%})  "
+            f"cache hits {cache['hits']:>5} ({hit_rate})  "
             f"SS_1 compiled frames {ss1['specialized_frames']}"
         )
 

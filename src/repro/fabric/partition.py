@@ -24,7 +24,6 @@ pieces:
   :func:`repro.fabric.topology.slim_replica_build`): real switches for
   the identity-bearing geometry, stubs in place of the foreign hosts,
   host links and management planes a worker provably never exercises.
-  ``slim=False`` on :class:`ShardedFabric` restores full replicas.
 * :class:`ShardedFabric` / :class:`ShardedFleet` — the user-facing
   facade: build once, choose ``backend="thread"`` (in-process, used by
   the differential tests) or ``backend="fork"`` (one process per
@@ -368,7 +367,6 @@ class ShardWorker:
         partition: FabricPartition,
         build: "Callable[[Simulator], Fabric]",
         transport=None,
-        slim: bool = True,
     ) -> None:
         from repro.fabric.topology import slim_replica_build
 
@@ -382,7 +380,7 @@ class ShardWorker:
         )
         self.owned = set(partition.owned_sites(shard))
         foreign = frozenset(partition.assignment) - self.owned
-        if slim and partition.nshards > 1 and foreign:
+        if partition.nshards > 1 and foreign:
             with slim_replica_build(foreign):
                 self.fabric = build(self.sim)
         else:
@@ -550,7 +548,6 @@ class _ThreadBackend:
         partition: FabricPartition,
         build: "Callable[[Simulator], Fabric]",
         timeout_s: float = DEFAULT_SYNC_TIMEOUT_S,
-        slim: bool = True,
     ) -> None:
         mesh = (
             ThreadMesh(partition.nshards, timeout_s=timeout_s)
@@ -563,7 +560,6 @@ class _ThreadBackend:
                 partition,
                 build,
                 transport=mesh.endpoint(shard) if mesh is not None else None,
-                slim=slim,
             )
             for shard in range(partition.nshards)
         ]
@@ -625,7 +621,6 @@ class _ForkBackend:
         partition: FabricPartition,
         build: "Callable[[Simulator], Fabric]",
         timeout_s: float = DEFAULT_SYNC_TIMEOUT_S,
-        slim: bool = True,
     ) -> None:
         import multiprocessing
 
@@ -650,7 +645,6 @@ class _ForkBackend:
                     meshes[shard] if nshards > 1 else None,
                     child_conns[shard],
                     timeout_s,
-                    slim,
                 ),
                 name=f"shard-{shard}",
                 daemon=True,
@@ -718,7 +712,6 @@ def _fork_worker_main(
     mesh: "dict | None",
     command_conn,
     timeout_s: float,
-    slim: bool = True,
 ) -> None:
     """Entry point of a forked shard process: build, then serve commands."""
     import traceback
@@ -729,9 +722,7 @@ def _fork_worker_main(
             if mesh is not None
             else None
         )
-        worker = ShardWorker(
-            shard, partition, build, transport=transport, slim=slim
-        )
+        worker = ShardWorker(shard, partition, build, transport=transport)
     except BaseException:  # noqa: BLE001 - reported over the pipe
         command_conn.send(("err", traceback.format_exc()))
         return
@@ -789,9 +780,9 @@ class ShardedFabric:
     lambda over one of the :mod:`repro.fabric.topology` builders); it
     runs once on a throwaway simulator to compute the partition (the
     *reference* fabric, also used for topology queries — always a full,
-    unslimmed build) and once per shard to create the replicas.  With
-    *slim* (the default) each multi-shard replica stubs out the foreign
-    state it provably never exercises — see
+    unslimmed build) and once per shard to create the replicas.  Each
+    multi-shard replica stubs out the foreign state it provably never
+    exercises — see
     :func:`repro.fabric.topology.slim_replica_build`; ``stats()``
     reports the per-shard ``stub_sites`` / ``stub_hosts``.
 
@@ -804,19 +795,14 @@ class ShardedFabric:
         shards: int = 1,
         backend: str = "thread",
         timeout_s: float = DEFAULT_SYNC_TIMEOUT_S,
-        slim: bool = True,
     ) -> None:
         self.build = build
         self.reference = build(Simulator())
         self.partition = partition_fabric(self.reference, shards)
         if backend == "thread":
-            self.backend = _ThreadBackend(
-                self.partition, build, timeout_s=timeout_s, slim=slim
-            )
+            self.backend = _ThreadBackend(self.partition, build, timeout_s=timeout_s)
         elif backend == "fork":
-            self.backend = _ForkBackend(
-                self.partition, build, timeout_s=timeout_s, slim=slim
-            )
+            self.backend = _ForkBackend(self.partition, build, timeout_s=timeout_s)
         else:
             raise ValueError(f"unknown backend {backend!r} (thread|fork)")
 

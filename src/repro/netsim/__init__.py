@@ -16,11 +16,7 @@ from repro.netsim.faults import FaultInjector
 from repro.netsim.host import Host, PingResult
 from repro.netsim.link import Link, LinkStats
 from repro.netsim.node import Node, Port
-from repro.netsim.sharded import (
-    ShardedSimulator,
-    ShardSimulator,
-    ShardSyncError,
-)
+from repro.netsim.sharded import ShardSimulator, ShardSyncError
 from repro.netsim.simulator import Event, Simulator
 
 __all__ = [
@@ -28,7 +24,6 @@ __all__ = [
     "Event",
     "ShardSimulator",
     "ShardSyncError",
-    "ShardedSimulator",
     "Node",
     "Port",
     "Link",

@@ -47,7 +47,7 @@ against the *global* count: all shards see the same sum at the same
 barrier and break in step (no abort cascade needed).
 
 Two transports implement the same mesh interface: an in-process
-:class:`ThreadMesh` (used by :class:`ShardedSimulator` and the tests —
+:class:`ThreadMesh` (used by the thread backend and the tests —
 records cross by reference, no serialisation) and per-peer
 ``multiprocessing`` pipes (:func:`make_pipe_mesh` +
 :class:`PipeEndpoint`, used by the fork backend in
@@ -725,101 +725,6 @@ def run_collective(
     return [count for count in results if count is not None] or [0]
 
 
-class ShardedSimulator:
-    """N shard event loops behind the familiar simulator surface.
-
-    Exposes ``run()`` / ``schedule*()`` / ``pending_events`` /
-    ``run_until_idle()`` like a plain :class:`Simulator`, plus merged
-    per-shard :meth:`stats`.  Shards run on in-process threads (the
-    :class:`ThreadMesh` transport); for multi-core process workers see
-    the fork backend in :mod:`repro.fabric.partition`, which drives the
-    same :class:`ShardSimulator` protocol over pipes.
-
-    Scheduling targets a specific shard (default 0) — callbacks run
-    inside that shard's event loop and must only touch that shard's
-    objects.
-    """
-
-    def __init__(
-        self,
-        shards: int = 1,
-        lookahead_s: "float | None" = None,
-        timeout_s: float = DEFAULT_SYNC_TIMEOUT_S,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        mesh = ThreadMesh(shards, timeout_s=timeout_s) if shards > 1 else None
-        self.shards: "list[ShardSimulator]" = [
-            ShardSimulator(
-                shard=index,
-                nshards=shards,
-                lookahead_s=lookahead_s if shards > 1 else None,
-                transport=mesh.endpoint(index) if mesh is not None else None,
-            )
-            for index in range(shards)
-        ]
-
-    # ------------------------------------------------ simulator surface
-
-    @property
-    def now(self) -> float:
-        return max(sim.now for sim in self.shards)
-
-    @property
-    def pending_events(self) -> int:
-        return sum(sim.pending_events for sim in self.shards)
-
-    @property
-    def events_processed(self) -> int:
-        return sum(sim.events_processed for sim in self.shards)
-
-    def schedule(self, delay: float, callback, shard: int = 0):
-        return self.shards[shard].schedule(delay, callback)
-
-    def schedule_at(self, time: float, callback, shard: int = 0):
-        return self.shards[shard].schedule_at(time, callback)
-
-    def schedule_many(self, items, shard: int = 0):
-        return self.shards[shard].schedule_many(items)
-
-    def run(
-        self, until: "float | None" = None, max_events: "int | None" = None
-    ) -> int:
-        if len(self.shards) == 1:
-            return self.shards[0].run(until=until, max_events=max_events)
-        return sum(run_collective(self.shards, until=until, max_events=max_events))
-
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        processed = self.run(max_events=max_events)
-        if self.pending_events:
-            raise RuntimeError(
-                f"simulation did not go idle within {max_events} events"
-            )
-        return processed
-
-    # --------------------------------------------------------- insight
-
-    def stats(self) -> dict:
-        """Merged view plus the per-shard sync counters."""
-        per_shard = [sim.sync_stats() for sim in self.shards]
-        return {
-            "shards": len(self.shards),
-            "now": self.now,
-            "events_processed": self.events_processed,
-            "pending_events": self.pending_events,
-            "sync_rounds": max((row["sync_rounds"] for row in per_shard), default=0),
-            "rounds_skipped": max(
-                (row["rounds_skipped"] for row in per_shard), default=0
-            ),
-            "frames_exported": sum(row["frames_exported"] for row in per_shard),
-            "records_exported": sum(row["records_exported"] for row in per_shard),
-            "bytes_exchanged": sum(row["bytes_sent"] for row in per_shard),
-            "shadow_drops": sum(row["shadow_drops"] for row in per_shard),
-            "boundary_drops": sum(row["boundary_drops"] for row in per_shard),
-            "per_shard": per_shard,
-        }
-
-
 __all__ = [
     "BoundaryLink",
     "DEFAULT_SYNC_TIMEOUT_S",
@@ -829,7 +734,6 @@ __all__ = [
     "PipeEndpoint",
     "ShardSimulator",
     "ShardSyncError",
-    "ShardedSimulator",
     "ThreadMesh",
     "make_pipe_mesh",
     "run_collective",

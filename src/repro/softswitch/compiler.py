@@ -37,8 +37,9 @@ above the microflow cache:
 **Timeouts.**  Pipelines with idle/hard timeouts compile to a *mortal*
 program: every decision carries the mortal entries it walked through,
 and both caches (key cache and frame memo) revalidate those entries'
-expiry before replaying — the same lazy validation
-``CachedPath`` replay performs one tier down.  Expiry is monotonic
+expiry before replaying — the same lazy check the interpreter's one
+walk (``SoftSwitch._run_pipeline``) makes on every microflow-cache hit
+one tier down.  Expiry is monotonic
 (an expired entry can never revive, and installs mark the program
 stale), so a decision is valid exactly until one of its own entries
 expires.

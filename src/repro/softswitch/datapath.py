@@ -11,7 +11,7 @@ exactly the behaviour a controller program sees on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.net.ethernet import EthernetFrame
 from repro.netsim.node import Node, Port
@@ -81,7 +81,7 @@ RECOMPILE_QUIESCENT_S = 0.05
 MISS_CACHE_LIMIT = 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineStats:
     """What one packet's pipeline walk cost (for the cost model)."""
 
@@ -336,14 +336,13 @@ class SoftSwitch(Node):
         Semantically this is exactly ``for f in frames: inject(f,
         in_port)`` executed at one simulated instant — bit-identical
         emitted frames, order, packet-ins and counters (proven by the
-        randomized differential suite).  What the batch buys:
+        randomized differential suite).  Every frame takes the same
+        interpreted walk as a single frame (:meth:`_run_pipeline`); what
+        the batch adds happens only at the edges:
 
         * each distinct frame *object* is decoded once per burst
           (generators emit per-flow template frames, so a 32-frame
           burst from 4 flows costs 4 decodes, not 32);
-        * the microflow cache validates entry expiry once per
-          (key, burst) instead of once per frame
-          (:meth:`DatapathFlowCache.get_for_burst`);
         * outputs whose cost-model charge is already covered are
           emitted as one egress burst per port
           (:meth:`Port.send_burst` → one link event per burst) instead
@@ -369,165 +368,94 @@ class SoftSwitch(Node):
                 return
             self.fallback_frames += len(frames)
         now = self.sim.now
-        cache = self.flow_cache
-        #: keys whose cached path was already expiry-validated this burst
-        validated: "set[tuple[int | None, ...]]" = set()
-        #: id(frame) -> decoded flow key (frames are not mutated by the
+        #: id(frame) -> its decoded view (frames are not mutated by the
         #: pipeline — actions transform copies — so the memo is safe for
         #: the burst's lifetime)
-        decoded: "dict[int, tuple[int | None, ...]]" = {}
+        views: "dict[int, PacketView]" = {}
         #: egress frames grouped per port as cleared frames land
         per_port: "dict[int, list[EthernetFrame]]" = {}
-        forwarded = 0
-        saved_tx, saved_async = self._tx_buffer, self._async_buffer
-        decoded_get = decoded.get
-        #: id(frame) -> wire length, filled lazily by the fast replay
-        lengths: "dict[int, int]" = {}
-        lengths_get = lengths.get
-        get_for_burst = cache.get_for_burst if cache is not None else None
-        replay_steps = self._replay_steps
-        charge = self._charge
-        tables = self.tables
-        ports = self.ports
-        zero_cost = self._cost_is_zero
-        # With an all-zero cost model the stats object only feeds the
-        # (skipped) cost computation, so one instance serves the burst.
-        shared_stats = PipelineStats() if zero_cost else None
         outputs: "list[tuple[int, EthernetFrame]]" = []
         async_messages: "list[OpenFlowMessage]" = []
+        run_pipeline, charge = self._run_pipeline, self._charge
+        saved_tx, saved_async = self._tx_buffer, self._async_buffer
         try:
             for frame in frames:
-                frame_id = id(frame)
-                key = decoded_get(frame_id)
-                if key is None:
-                    view = PacketView(frame, in_port)
-                    key = view.flow_key()
-                    decoded[frame_id] = key
-                else:
-                    view = None  # built lazily: a cache hit never needs it
-                stats = shared_stats if zero_cost else PipelineStats()
-                self._tx_buffer = outputs
-                self._async_buffer = async_messages
-                hit = False
-                if get_for_burst is not None:
-                    path = get_for_burst(key, now, validated)
-                    if path is not None:
-                        cache.hits += 1
-                        hit = True
-                        fast = path.single_output
-                        if fast is not None:
-                            # Single-table, single-output walk: replay
-                            # inline with the exact counters/touch the
-                            # generic executor would produce.
-                            table_id, entry, out_port = fast
-                            table = tables[table_id]
-                            table.lookups += 1
-                            table.matches += 1
-                            stats.lookups += 1
-                            stats.actions += 1
-                            length = lengths_get(frame_id)
-                            if length is None:
-                                length = lengths[frame_id] = frame.wire_length
-                            entry.touch(now, length)
-                            if out_port in ports:
-                                outputs.append((out_port, frame))
-                            else:
-                                self.packets_dropped += 1
-                        else:
-                            replay_steps(path, frame, in_port, stats, now)
+                view = views.get(id(frame))
+                if view is None:
+                    view = views[id(frame)] = PacketView(frame, in_port)
+                stats = PipelineStats()
+                self._tx_buffer, self._async_buffer = outputs, async_messages
+                run_pipeline(view, stats)
+                finish = charge(stats)
+                if not outputs and not async_messages:
+                    continue
+                if finish > now:
+                    # Deferred emission keeps per-frame timing; the
+                    # buffers now belong to the scheduled closure.
+                    self.sim.schedule_at(
+                        finish, lambda o=outputs, a=async_messages: self._emit(o, a)
+                    )
+                    outputs, async_messages = [], []
+                    continue
+                for port_number, out_frame in outputs:
+                    chain = per_port.get(port_number)
+                    if chain is None:
+                        per_port[port_number] = [out_frame]
                     else:
-                        cache.misses += 1
-                if not hit:
-                    if view is None:
-                        view = PacketView(frame, in_port, key)
-                    self._slow_path(view, frame, in_port, stats, now)
-                    if cache is not None:
-                        # The walk just stored a path whose entries the
-                        # classifier saw live at `now` — no re-check needed.
-                        validated.add(key)
-                if outputs or async_messages:
-                    finish = charge(stats)
-                    if finish <= now:
-                        if outputs:
-                            forwarded += len(outputs)
-                            for port_number, out_frame in outputs:
-                                chain = per_port.get(port_number)
-                                if chain is None:
-                                    per_port[port_number] = [out_frame]
-                                else:
-                                    chain.append(out_frame)
-                            outputs.clear()
-                        if async_messages:
-                            # Delivered at the same point the sequential
-                            # path would deliver them, so a synchronously
-                            # wired controller reacting to frame i still
-                            # reprograms the pipeline before frame i+1 —
-                            # and, because the egress accumulated so far
-                            # is flushed first, sees the same forwarding
-                            # and port statistics sequential processing
-                            # would show it.
-                            if forwarded:
-                                self.packets_forwarded += forwarded
-                                forwarded = 0
-                                for port_number, port_frames in per_port.items():
-                                    self.port(port_number).send_burst(port_frames)
-                                per_port.clear()
-                            for message in async_messages:
-                                if self.to_controller is not None:
-                                    self.to_controller(message.to_bytes())
-                            async_messages.clear()
-                    else:
-                        # Deferred emission keeps per-frame timing; the
-                        # buffers now belong to the scheduled closure.
-                        self.sim.schedule_at(
-                            finish,
-                            lambda o=outputs, a=async_messages: self._emit(o, a),
-                        )
-                        outputs = []
-                        async_messages = []
-                else:
-                    charge(stats)
+                        chain.append(out_frame)
+                outputs.clear()
+                if async_messages:
+                    # Delivered at the same point the sequential path
+                    # would deliver them, so a synchronously wired
+                    # controller reacting to frame i still reprograms the
+                    # pipeline before frame i+1 — and, because the egress
+                    # accumulated so far is flushed first, sees the same
+                    # forwarding and port statistics sequential
+                    # processing would show it.
+                    self._send_bursts(per_port)
+                    self._emit([], async_messages)
+                    async_messages.clear()
         finally:
             self._tx_buffer, self._async_buffer = saved_tx, saved_async
         self.batch_bursts += 1
         self.batch_frames += len(frames)
-        self.batch_unique_keys += (
-            len(validated) if cache is not None else len(set(decoded.values()))
-        )
-        if forwarded:
-            self.packets_forwarded += forwarded
-            for port_number, port_frames in per_port.items():
-                self.port(port_number).send_burst(port_frames)
+        self.batch_unique_keys += len({view.flow_key() for view in views.values()})
+        self._send_bursts(per_port)
+
+    def _send_bursts(self, per_port: "dict[int, list[EthernetFrame]]") -> None:
+        """Emit a burst's coalesced egress, one ``send_burst`` per port."""
+        for port_number, port_frames in per_port.items():
+            self.packets_forwarded += len(port_frames)
+            self.port(port_number).send_burst(port_frames)
+        per_port.clear()
 
     def _walk_and_emit(self, frame: EthernetFrame, in_port: int) -> None:
-        """Run the pipeline, then emit buffered outputs after the CPU cost.
-
-        Outputs are buffered during the walk so the cost-model delay
-        (which depends on what the pipeline did) lands *before* the
-        frame leaves — that is how the processing cost becomes visible
-        as forwarding latency.
-        """
+        """Serve one frame: compiled tier 0 when active, else the interpreter."""
         if self.specialize:
             program = self._active_program()
             if program is not None:
                 program.run_one(frame, in_port)
                 return
-            self._interpret_one(frame, in_port)
-            return
-        stats = PipelineStats()
-        outputs, async_messages = self._buffered(self._run_pipeline, frame, in_port, stats)
-        self._flush(outputs, async_messages, stats)
+        self._interpret_one(frame, in_port)
 
     def _interpret_one(self, frame: EthernetFrame, in_port: int) -> None:
-        """One frame through the interpreted path while specialization
-        is enabled: either no program is active, or the active program
-        selected a FALLBACK decision for this frame (packet-in, flood,
-        action-set semantics...) and handed it over.  Does all of its
-        own counting — the compiled caller only routes.
+        """Run one frame through the interpreter, then emit its buffered
+        outputs after the CPU cost.
+
+        Outputs are buffered during the walk so the cost-model delay
+        (which depends on what the pipeline did) lands *before* the
+        frame leaves — that is how the processing cost becomes visible
+        as forwarding latency.  The compiled tier hands its FALLBACK
+        decisions (packet-in, flood, action-set semantics...) here too,
+        and this method does all of their counting; ``fallback_frames``
+        counts only while specialization is enabled.
         """
-        self.fallback_frames += 1
+        if self.specialize:
+            self.fallback_frames += 1
         stats = PipelineStats()
-        outputs, async_messages = self._buffered(self._run_pipeline, frame, in_port, stats)
+        outputs, async_messages = self._buffered(
+            self._run_pipeline, PacketView(frame, in_port), stats
+        )
         self._flush(outputs, async_messages, stats)
 
     def _buffered(
@@ -597,54 +525,41 @@ class SoftSwitch(Node):
         self.busy_until = start + cost
         return self.busy_until
 
-    def _run_pipeline(
-        self, frame: EthernetFrame, in_port: int, stats: PipelineStats
-    ) -> None:
+    def _run_pipeline(self, view: PacketView, stats: PipelineStats) -> None:
+        """One interpreted walk: replay the memoised walk on a microflow
+        cache hit, else search the classifier (which memoises the walk).
+
+        A hit is only served while every matched entry is live: a mortal
+        entry can lapse between expiry sweeps, and its stale walk is
+        dropped here before the classifier re-decides.
+        """
         now = self.sim.now
-        view = PacketView(frame, in_port)
-        key = view.flow_key()
         cache = self.flow_cache
         if cache is not None:
+            key = view.flow_key()
             cached = cache.get(key)
-            if cached is not None and self._replay(cached, key, frame, in_port, stats, now):
-                cache.hits += 1
-                return
+            if cached is not None:
+                for _, entry in cached.steps:
+                    if entry.is_expired(now):
+                        cache.discard(key)
+                        break
+                else:
+                    cache.hits += 1
+                    self._replay(cached, view, stats, now)
+                    return
             cache.misses += 1
-        self._slow_path(view, frame, in_port, stats, now)
+        self._slow_path(view, stats, now)
 
     def _replay(
-        self,
-        cached: CachedPath,
-        key: "tuple[int | None, ...]",
-        frame: EthernetFrame,
-        in_port: int,
-        stats: PipelineStats,
-        now: float,
-    ) -> bool:
-        """Re-execute a memoised walk; False if it went stale (expiry).
+        self, cached: CachedPath, view: PacketView, stats: PipelineStats, now: float
+    ) -> None:
+        """Re-execute a memoised walk.
 
         Only the per-table classifier search is skipped: counters,
         action execution, group selection and packet-in all run exactly
         as on the slow path, so behaviour is bit-identical.
         """
-        for _, entry in cached.steps:
-            if entry.is_expired(now):
-                self.flow_cache.discard(key)
-                return False
-        self._replay_steps(cached, frame, in_port, stats, now)
-        return True
-
-    def _replay_steps(
-        self,
-        cached: CachedPath,
-        frame: EthernetFrame,
-        in_port: int,
-        stats: PipelineStats,
-        now: float,
-    ) -> None:
-        """The expiry-validated half of a replay (shared with the batch
-        path, which validates once per (key, burst) up front)."""
-        current = frame
+        current, in_port = view.frame, view.in_port
         action_set: dict[str, Action] = {}
         for table_id, entry in cached.steps:
             table = self.tables[table_id]
@@ -661,22 +576,17 @@ class SoftSwitch(Node):
             ordered = self._order_action_set(action_set)
             self._apply_actions(ordered, current, in_port, stats)
 
-    def _slow_path(
-        self,
-        view: PacketView,
-        frame: EthernetFrame,
-        in_port: int,
-        stats: PipelineStats,
-        now: float,
-    ) -> None:
+    def _slow_path(self, view: PacketView, stats: PipelineStats, now: float) -> None:
         key = view.flow_key()  # the *ingress* key — what the cache indexes
+        in_port = view.in_port
         table_id = 0
         action_set: dict[str, Action] = {}
-        current = frame
+        current = view.frame
         steps: "list[tuple[int, FlowEntry]]" = []
         #: (table id, flow key the lookup used there) — the dependency
         #: record a later FlowMod ADD is tested against.
         visits: "list[tuple[int, tuple[int | None, ...]]]" = []
+        miss_table: "int | None" = None
         cache = self.flow_cache
         while table_id < len(self.tables):
             if view.frame is not current:
@@ -692,17 +602,8 @@ class SoftSwitch(Node):
             stats.lookups += 1
             if entry is None:
                 self.packets_dropped += 1
-                if cache is not None:
-                    cache.store(
-                        key,
-                        CachedPath(
-                            steps=tuple(steps),
-                            miss_table=table_id,
-                            visits=tuple(visits),
-                            group_ids=self._group_refs(steps),
-                        ),
-                    )
-                return
+                miss_table = table_id
+                break
             steps.append((table_id, entry))
             current, next_table = self._execute_entry(
                 entry, current, in_port, stats, action_set, now
@@ -719,11 +620,12 @@ class SoftSwitch(Node):
                 key,
                 CachedPath(
                     steps=tuple(steps),
+                    miss_table=miss_table,
                     visits=tuple(visits),
                     group_ids=self._group_refs(steps),
                 ),
             )
-        if action_set:
+        if action_set and miss_table is None:
             ordered = self._order_action_set(action_set)
             self._apply_actions(ordered, current, in_port, stats)
         # No action set and no outputs along the way: packet is dropped
@@ -760,9 +662,7 @@ class SoftSwitch(Node):
         next_table: "int | None" = None
         for instruction in entry.instructions:
             if isinstance(instruction, ApplyActions):
-                current = self._apply_actions(
-                    list(instruction.actions), current, in_port, stats
-                )
+                current = self._apply_actions(instruction.actions, current, in_port, stats)
             elif isinstance(instruction, WriteActions):
                 for action in instruction.actions:
                     action_set[self._action_set_key(action)] = action
@@ -798,7 +698,7 @@ class SoftSwitch(Node):
 
     def _apply_actions(
         self,
-        actions: list[Action],
+        actions: "Sequence[Action]",
         frame: EthernetFrame,
         in_port: int,
         stats: PipelineStats,
@@ -832,18 +732,15 @@ class SoftSwitch(Node):
                 return
             for number in sorted(self.ports):
                 if number != in_port:
-                    self._transmit(number, frame)
+                    self._tx_buffer.append((number, frame))
             return
         if port_no == c.OFPP_IN_PORT:
-            self._transmit(in_port, frame)
+            self._tx_buffer.append((in_port, frame))
             return
         if port_no in self.ports:
-            self._transmit(port_no, frame)
+            self._tx_buffer.append((port_no, frame))
         else:
             self.packets_dropped += 1
-
-    def _transmit(self, port_number: int, frame: EthernetFrame) -> None:
-        self._tx_buffer.append((port_number, frame))
 
     def _run_group(
         self, frame: EthernetFrame, group_id: int, in_port: int, stats: PipelineStats
@@ -856,7 +753,7 @@ class SoftSwitch(Node):
         if entry.group_type == c.OFPGT_ALL:
             for index, bucket in enumerate(entry.buckets):
                 entry.bucket_packet_counts[index] += 1
-                self._apply_actions(list(bucket.actions), frame.copy(), in_port, stats)
+                self._apply_actions(bucket.actions, frame.copy(), in_port, stats)
             return
         view = PacketView(frame, in_port)
         stats.group_selections += 1
@@ -868,7 +765,7 @@ class SoftSwitch(Node):
             self.packets_dropped += 1
             return
         entry.bucket_packet_counts[index] += 1
-        self._apply_actions(list(entry.buckets[index].actions), frame, in_port, stats)
+        self._apply_actions(entry.buckets[index].actions, frame, in_port, stats)
 
     # -------------------------------------------------------- controller IO
 
@@ -958,6 +855,14 @@ class SoftSwitch(Node):
     def _handle_flow_mod(self, message: FlowMod) -> "ErrorMsg | None":
         if message.table_id >= len(self.tables):
             return ErrorMsg(xid=message.xid, error_type=5, code=2)  # bad table
+        for instruction in message.instructions:
+            # A goto must move forward to an existing table (OpenFlow 1.3
+            # §5.1): refuse the FlowMod rather than fail later on the
+            # first packet whose walk reaches it.
+            if isinstance(instruction, GotoTable) and not (
+                message.table_id < instruction.table_id < len(self.tables)
+            ):
+                return ErrorMsg(xid=message.xid, error_type=3, code=2)  # bad table id
         table = self.tables[message.table_id]
         cache = self.flow_cache
         now = self.sim.now
@@ -1063,7 +968,7 @@ class SoftSwitch(Node):
         )
         stats = PipelineStats()
         outputs, async_messages = self._buffered(
-            self._apply_actions, list(message.actions), frame, in_port, stats
+            self._apply_actions, message.actions, frame, in_port, stats
         )
         self._flush(outputs, async_messages, stats)
 

@@ -9,7 +9,10 @@ walk — one dict probe instead of one classifier search per table.
 The cache memoises *decisions*, not outputs: actions are re-executed
 for every packet, so counters, packet-in, group bucket selection and
 frame rewrites behave bit-identically to the slow path.  Entries are
-validated against flow expiry on every hit.
+validated against flow expiry on every hit.  Single frames and bursts
+share one lookup-and-replay walk (``SoftSwitch._run_pipeline``); a
+burst only adds per-frame-object decode reuse and egress coalescing at
+its edges.
 
 Invalidation is **dependency-indexed**: every :class:`CachedPath`
 registers against the tables it visited (with the flow key it looked
@@ -31,15 +34,6 @@ control-plane churn against unrelated tables or masks no longer
 flushes the fast path.  ``invalidate()`` (full flush) remains for
 benchmarks that want the old whole-cache behaviour as a baseline.
 
-The cache is also **burst-aware**: :meth:`DatapathFlowCache
-.get_for_burst` validates entry expiry once per (key, burst) instead
-of once per frame, and :attr:`CachedPath.single_output` precomputes
-the dominant replay shape — a single-table walk ending in one
-concrete-port output — so ``SoftSwitch.process_batch`` can replay it
-inline without touching the instruction interpreter (safe because
-MODIFY invalidates by matched entry, which drops the cached property
-along with the path).
-
 Above this cache sits the optional compiled tier 0
 (:mod:`repro.softswitch.compiler`); below it, the staged classifier
 (:mod:`repro.softswitch.flowtable`).
@@ -48,12 +42,7 @@ Above this cache sits the optional compiled tier 0
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
-
-from repro.openflow import consts as c
-from repro.openflow.actions import OutputAction
-from repro.openflow.instructions import ApplyActions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.openflow.match import Match
@@ -82,34 +71,6 @@ class CachedPath:
     miss_table: Optional[int] = None
     visits: "tuple[tuple[int, tuple[int | None, ...]], ...]" = ()
     group_ids: tuple[int, ...] = ()
-
-    @cached_property
-    def single_output(self) -> "tuple[int, FlowEntry, int] | None":
-        """``(table_id, entry, out_port)`` when the whole walk is one
-        matched table whose instructions are exactly one ApplyActions
-        holding one OutputAction to a concrete port — the dominant
-        access-edge shape.  The batch path replays it without the
-        generic instruction executor (same counters, same touch, same
-        port-existence check), which is where batching's pps headroom
-        at large burst sizes comes from.
-
-        Safe to cache on the frozen path: a FlowMod MODIFY that rewrites
-        the entry's instructions always invalidates every memoised walk
-        that matched the entry, so no stale plan can survive.
-        """
-        if len(self.steps) != 1 or self.miss_table is not None:
-            return None
-        table_id, entry = self.steps[0]
-        instructions = entry.instructions
-        if len(instructions) != 1 or not isinstance(instructions[0], ApplyActions):
-            return None
-        actions = instructions[0].actions
-        if len(actions) != 1 or type(actions[0]) is not OutputAction:
-            return None
-        port = actions[0].port
-        if port in (c.OFPP_CONTROLLER, c.OFPP_FLOOD, c.OFPP_ALL, c.OFPP_IN_PORT):
-            return None
-        return table_id, entry, port
 
 
 @dataclass
@@ -147,33 +108,6 @@ class DatapathFlowCache:
 
     def get(self, key: "tuple[int | None, ...]") -> Optional[CachedPath]:
         return self._paths.get(key)
-
-    def get_for_burst(
-        self,
-        key: "tuple[int | None, ...]",
-        now: float,
-        validated: "set[tuple[int | None, ...]]",
-    ) -> Optional[CachedPath]:
-        """Burst replay entry: expiry is validated once per (key, burst).
-
-        *validated* is the per-burst set of keys already checked; a key
-        found there skips the per-step expiry walk.  Sound because the
-        whole burst executes at one simulated instant: an entry that was
-        live at *now* cannot expire at *now* (``touch`` only pushes
-        ``last_used_at`` forward), and a path freshly stored mid-burst
-        only holds entries the classifier just saw live.  Stale paths
-        are dropped here exactly as the single-frame path drops them.
-        """
-        path = self._paths.get(key)
-        if path is None:
-            return None
-        if key not in validated:
-            for _, entry in path.steps:
-                if entry.is_expired(now):
-                    self._drop(key)
-                    return None
-            validated.add(key)
-        return path
 
     def store(self, key: "tuple[int | None, ...]", path: CachedPath) -> None:
         if key in self._paths:
@@ -293,9 +227,10 @@ class DatapathFlowCache:
         return self.invalidation_stats.full + self.invalidation_stats.scoped
 
     @property
-    def hit_rate(self) -> float:
+    def hit_rate(self) -> Optional[float]:
+        """Hits over lookups; None (no data, not 0.0) before any lookup."""
         total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return self.hits / total if total else None
 
     def stats(self) -> dict:
         return {

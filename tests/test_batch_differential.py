@@ -10,7 +10,9 @@ churn (FlowMod add/delete/modify with timeouts, GroupMod) and simulated
 time advancing between bursts so multi-table walks, group selection and
 entry expiry (both the sweeper and the lazy replay validation) are all
 covered, under both a zero-cost model (batched egress) and the eswitch
-cost model (deferred per-frame emission).
+cost model (deferred per-frame emission).  Random rules sometimes output
+to a port the switch does not have, so the unknown-port drop is covered
+on cache hits and misses alike.
 
 Set ``DIFFERENTIAL_SCALE=<n>`` to multiply the randomized case counts
 (the nightly extended job runs at 5×).
@@ -47,6 +49,8 @@ ZERO_COST = DatapathCostModel.zero()
 MACS = [MACAddress(0x020000000001 + i) for i in range(4)]
 IPS = [IPv4Address(f"10.0.{i // 4}.{i % 4 + 1}") for i in range(8)]
 PORTS = [53, 80, 443, 8080]
+#: An output port no rig wires: the switch must drop and count it.
+UNWIRED_PORT = 7
 
 
 class Sink(Node):
@@ -106,6 +110,8 @@ def random_instructions(rng: random.Random, table_id: int):
     if roll < 0.15:
         return []  # explicit drop
     actions = [OutputAction(port=rng.randint(1, 3))]
+    if rng.random() < 0.08:  # the rigs wire ports 1-3: dropped on output
+        actions = [OutputAction(port=UNWIRED_PORT)]
     if rng.random() < 0.2:
         actions.insert(
             0, SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))

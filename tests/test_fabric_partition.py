@@ -12,7 +12,6 @@ from repro.fabric import (
 from repro.net import EthernetFrame, MACAddress
 from repro.netsim import Link, Node, Simulator
 from repro.netsim.sharded import (
-    ShardedSimulator,
     ShardSimulator,
     ThreadMesh,
     run_collective,
@@ -203,20 +202,6 @@ class TestShardSync:
         counts = run_collective(sims, until=1.0, max_events=10)
         assert sum(counts) == 10
         assert sims[0].pending_events == 35
-
-    def test_sharded_simulator_facade(self):
-        sharded = ShardedSimulator(shards=2, lookahead_s=1e-6)
-        order = []
-        sharded.schedule_at(0.002, lambda: order.append("b"), shard=1)
-        sharded.schedule_at(0.001, lambda: order.append("a"), shard=0)
-        assert sharded.pending_events == 2
-        processed = sharded.run(until=0.01)
-        assert processed == 2
-        assert order == ["a", "b"]
-        assert sharded.now == 0.01
-        stats = sharded.stats()
-        assert stats["shards"] == 2
-        assert len(stats["per_shard"]) == 2
 
     def test_shard_simulator_needs_lookahead_and_transport(self):
         with pytest.raises(ValueError, match="lookahead"):

@@ -526,6 +526,21 @@ class TestFlowLifecycle:
         responses = switch.handle_message(FlowMod(table_id=99).to_bytes())
         assert len(responses) == 1
 
+    @pytest.mark.parametrize("command", [c.OFPFC_ADD, c.OFPFC_MODIFY])
+    @pytest.mark.parametrize("target", [0, 1, 4])  # backward, same table, past the end
+    def test_goto_that_does_not_move_forward_errors(self, command, target):
+        _, switch, _ = build_switch()
+        install(switch, table_id=1, match=Match(), instructions=[])
+        responses = switch.handle_message(
+            FlowMod(
+                table_id=1, command=command, match=Match(),
+                instructions=[GotoTable(table_id=target)],
+            ).to_bytes()
+        )
+        (error,) = [parse_message(raw) for raw in responses]
+        assert (error.error_type, error.code) == (3, 2)  # bad instruction: table id
+        assert [entry.instructions for entry in switch.tables[1]] == [[]]
+
     def test_identical_match_priority_replaces(self):
         sim, switch, sinks = build_switch()
         for port in (2, 3):
